@@ -278,13 +278,12 @@ func resultIDs(rs []ann.Result) []graph.NodeID {
 // benchPrecisions is the slab matrix BenchmarkANNTopK sweeps.
 var benchPrecisions = []embstore.Precision{embstore.F64, embstore.F32, embstore.SQ8}
 
-// BenchmarkANNTopK compares exact scan, LSH probing and HNSW graph
-// search at serving scales, each across the three slab precisions
-// (recall@10 is always measured against full-precision exact search,
-// and bytes_per_vector records the memory side of the trade). LSH bits
-// grow with n to keep buckets small; HNSW runs at its defaults (the
-// config whose 100k recall is gated at ≥ 0.95 by TestHNSWRecall100k;
-// TestSQ8Recall gates the quantized plane).
+// BenchmarkANNTopK compares exact scan and HNSW graph search at
+// serving scales, each across the three slab precisions (recall@10 is
+// always measured against full-precision exact search, and
+// bytes_per_vector records the memory side of the trade). HNSW runs at
+// its defaults (the config whose 100k recall is gated at ≥ 0.95 by
+// TestHNSWRecall100k; TestSQ8Recall gates the quantized plane).
 func BenchmarkANNTopK(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		n := n
@@ -293,15 +292,6 @@ func BenchmarkANNTopK(b *testing.B) {
 			b.Run(fmt.Sprintf("exact/n=%d/p=%s", n, prec), func(b *testing.B) {
 				benchANN(b, n, prec, func(s *embstore.Store) (ann.Index, error) {
 					return ann.NewExact(s, ann.Cosine), nil
-				})
-			})
-			b.Run(fmt.Sprintf("lsh/n=%d/p=%s", n, prec), func(b *testing.B) {
-				benchANN(b, n, prec, func(s *embstore.Store) (ann.Index, error) {
-					cfg := ann.DefaultLSHConfig()
-					if n >= 100_000 {
-						cfg.Bits = 11
-					}
-					return ann.NewLSH(s, cfg)
 				})
 			})
 			b.Run(fmt.Sprintf("hnsw/n=%d/p=%s", n, prec), func(b *testing.B) {

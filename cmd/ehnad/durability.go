@@ -560,7 +560,10 @@ func (d *durable) shutdown() {
 
 // healthz returns the durability block of the health report, reading
 // every number through the gauges registerMetrics installed (see
-// metrics.go) so /healthz and /metrics render one set of values.
+// metrics.go) so /healthz and /metrics render one set of values. The
+// two rotation counts are the exception: /metrics carries them as the
+// process-wide _count of ehnad_snapshot_seconds and
+// ehnad_compaction_seconds, while /healthz reports this instance's.
 func (d *durable) healthz(m *serverMetrics) map[string]any {
 	g := m.gauge
 	out := map[string]any{
@@ -572,7 +575,7 @@ func (d *durable) healthz(m *serverMetrics) map[string]any {
 		},
 		"snapshot": map[string]any{
 			"watermark":  uint64(g("ehnad_snapshot_watermark")),
-			"count":      int64(g("ehnad_snapshot_count")),
+			"count":      d.snapshots.Load(),
 			"last_unix":  int64(g("ehnad_snapshot_last_unix")),
 			"interval_s": g("ehnad_snapshot_interval_seconds"),
 			"errors":     int64(g("ehnad_snapshot_error_count")),
@@ -595,7 +598,7 @@ func (d *durable) healthz(m *serverMetrics) map[string]any {
 	if d.isHNSW {
 		out["compaction"] = map[string]any{
 			"running":         g("ehnad_compaction_running") != 0,
-			"count":           int64(g("ehnad_compaction_count")),
+			"count":           d.compactions.Load(),
 			"last_unix":       int64(g("ehnad_compaction_last_unix")),
 			"compact_at":      g("ehnad_compaction_threshold"),
 			"tombstone_ratio": g("ehnad_graph_tombstone_ratio"),

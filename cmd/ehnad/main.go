@@ -41,9 +41,9 @@
 // seed the very first boot, and -dim allows starting empty. See
 // cmd/ehnad/durability.go for the recovery invariants.
 //
-// Index selection: -index exact (ground truth, linear scan), lsh
-// (multi-probe hashing) or hnsw (graph search — the sublinear choice at
-// 100k+ nodes). With -index hnsw, -hnsw-graph names a gob snapshot of
+// Index selection: -index exact (the default: ground truth, linear
+// scan, no build) or hnsw (graph search — the sublinear choice past
+// ~20k nodes). With -index hnsw, -hnsw-graph names a gob snapshot of
 // the graph structure: loaded when present so the daemon boots without
 // rebuilding, written after a fresh build otherwise (with -wal it
 // defaults to DIR/graph.gob).
@@ -89,15 +89,12 @@ func main() {
 		precision = flag.String("precision", "f64", "vector slab precision: f64 (full), f32 (half the memory), or sq8 (int8 scalar quantization, ~8x less memory; recall gated >= 0.95). Applies per boot: snapshots of any precision convert to this layout on load, so pass the same value on every restart to keep the layout. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
 		shards    = flag.Int("shards", embstore.DefaultShards, "store shard count")
-		indexKind = flag.String("index", "lsh", "ann index: exact, lsh or hnsw")
-		tables    = flag.Int("tables", 16, "lsh: number of hash tables")
-		bits      = flag.Int("bits", 8, "lsh: signature bits per table")
-		probes    = flag.Int("probes", -1, "lsh: Hamming-1 probes per table (-1 = bits)")
+		indexKind = flag.String("index", "exact", "ann index: exact or hnsw")
 		m         = flag.Int("m", 16, "hnsw: graph degree M (layer 0 allows 2M links)")
 		efCons    = flag.Int("ef-construction", 200, "hnsw: build-time beam width")
 		efSearch  = flag.Int("ef-search", 64, "hnsw: query-time beam width (recall/latency dial)")
 		hnswGraph = flag.String("hnsw-graph", "", "hnsw: graph snapshot path — loaded if present (boot without rebuild), written after a fresh build otherwise")
-		seed      = flag.Int64("seed", 1, "lsh hyperplane / hnsw level-draw seed")
+		seed      = flag.Int64("seed", 1, "hnsw level-draw seed")
 		metric    = flag.String("metric", "cosine", "similarity metric: cosine or dot")
 		maxBatch  = flag.Int("max-batch", 64, "micro-batcher: max coalesced queries")
 		window    = flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher: gather window (0 disables)")
@@ -147,9 +144,6 @@ func main() {
 			kind:           *indexKind,
 			metric:         mt,
 			seed:           *seed,
-			tables:         *tables,
-			bits:           *bits,
-			probes:         *probes,
 			m:              *m,
 			efConstruction: *efCons,
 			efSearch:       *efSearch,
@@ -536,10 +530,8 @@ func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*em
 type indexOptions struct {
 	kind   string
 	metric ann.Metric
-	seed   int64
-	// lsh
-	tables, bits, probes int
 	// hnsw
+	seed                        int64
 	m, efConstruction, efSearch int
 	graphPath                   string
 	// rebuildOnLoadError downgrades a corrupt/stale graph snapshot from
@@ -552,13 +544,10 @@ func buildIndex(store *embstore.Store, o indexOptions) (ann.Index, error) {
 	switch o.kind {
 	case "exact":
 		return ann.NewExact(store, o.metric), nil
-	case "lsh":
-		cfg := ann.LSHConfig{Tables: o.tables, Bits: o.bits, Probes: o.probes, Seed: o.seed, Metric: o.metric}
-		return ann.NewLSH(store, cfg)
 	case "hnsw":
 		return buildHNSW(store, o)
 	default:
-		return nil, fmt.Errorf("unknown index %q (want exact, lsh or hnsw)", o.kind)
+		return nil, fmt.Errorf("unknown index %q (want exact or hnsw)", o.kind)
 	}
 }
 

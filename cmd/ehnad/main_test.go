@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +29,6 @@ import (
 func testIndexOptions(kind string) indexOptions {
 	return indexOptions{
 		kind: kind, metric: ann.Cosine, seed: 1,
-		tables: 16, bits: 8, probes: -1,
 		m: 16, efConstruction: 200, efSearch: 64,
 	}
 }
@@ -116,7 +118,7 @@ func trainedStore(t *testing.T) (*embstore.Store, *graph.Temporal) {
 
 func TestNeighborsEndToEndOnTrainedGraph(t *testing.T) {
 	store, g := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		var resp neighborsResponse
 		status, raw := postJSON(t, ts.URL+"/v1/neighbors", map[string]any{"id": 0, "k": 5}, &resp)
@@ -136,6 +138,62 @@ func TestNeighborsEndToEndOnTrainedGraph(t *testing.T) {
 			if i > 0 && resp.Results[i-1].Score < r.Score {
 				t.Fatalf("%s: results not sorted: %v", kind, resp.Results)
 			}
+		}
+	}
+}
+
+// daemonFlags returns the flag set main defines, unparsed. main runs
+// against a PanicOnError flag set with -h: it registers every flag,
+// then flag.Parse panics with flag.ErrHelp before anything else runs.
+func daemonFlags(t *testing.T) (fs *flag.FlagSet) {
+	t.Helper()
+	fs = flag.NewFlagSet("ehnad", flag.PanicOnError)
+	fs.SetOutput(io.Discard)
+	savedFS, savedArgs := flag.CommandLine, os.Args
+	flag.CommandLine, os.Args = fs, []string{"ehnad", "-h"}
+	defer func() {
+		flag.CommandLine, os.Args = savedFS, savedArgs
+		if r := recover(); r != flag.ErrHelp {
+			t.Fatalf("main did not stop at flag parsing: %v", r)
+		}
+	}()
+	main()
+	return fs
+}
+
+// TestIndexSelection pins the daemon's index surface: the -index
+// default, the kinds buildIndex accepts, and the flag set.
+func TestIndexSelection(t *testing.T) {
+	fs := daemonFlags(t)
+	if got := fs.Lookup("index").DefValue; got != "exact" {
+		t.Errorf("-index default = %q, want exact", got)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 27 {
+		t.Errorf("daemon defines %d flags, want 27", n)
+	}
+	for _, gone := range []string{"tables", "bits", "probes"} {
+		if fs.Lookup(gone) != nil {
+			t.Errorf("-%s is still defined", gone)
+		}
+	}
+	store, _ := trainedStore(t)
+	for _, tc := range []struct {
+		kind    string
+		wantErr string // "" = the index builds
+	}{
+		{kind: "exact"},
+		{kind: "hnsw"},
+		{kind: "lsh", wantErr: "want exact or hnsw"},
+		{kind: "", wantErr: "want exact or hnsw"},
+	} {
+		idx, err := buildIndex(store, testIndexOptions(tc.kind))
+		switch {
+		case tc.wantErr == "" && (err != nil || idx == nil):
+			t.Errorf("-index %q: %v", tc.kind, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("-index %q: err = %v, want one naming %q", tc.kind, err, tc.wantErr)
 		}
 	}
 }
@@ -231,7 +289,7 @@ func TestScoreMatchesDotProduct(t *testing.T) {
 
 func TestUpsertThenQuery(t *testing.T) {
 	store, _ := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		id := uint32(200000)
 		vec := make([]float64, store.Dim())
@@ -270,7 +328,7 @@ func TestUpsertThenQuery(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	store, g := trainedStore(t)
-	_, ts := newTestServer(t, store, "lsh")
+	_, ts := newTestServer(t, store, "exact")
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +344,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Status != "ok" || out.Nodes != g.NumNodes() || out.Index != "lsh" || out.Metric != "cosine" {
+	if out.Status != "ok" || out.Nodes != g.NumNodes() || out.Index != "exact" || out.Metric != "cosine" {
 		t.Fatalf("healthz = %+v", out)
 	}
 }
@@ -474,7 +532,7 @@ func TestHNSWGraphSnapshotBoot(t *testing.T) {
 // every index kind.
 func TestDeleteEndpoint(t *testing.T) {
 	store, _ := trainedStore(t)
-	for _, kind := range []string{"exact", "lsh", "hnsw"} {
+	for _, kind := range []string{"exact", "hnsw"} {
 		_, ts := newTestServer(t, store, kind)
 		id := uint32(300000)
 		vec := make([]float64, store.Dim())
@@ -556,7 +614,7 @@ func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	cfg := serverConfig{
 		snapshot: seedPath,
 		shards:   4,
-		index:    testIndexOptions("lsh"),
+		index:    testIndexOptions("exact"),
 		maxBatch: 16,
 		window:   time.Millisecond,
 		walDir:   walDir,

@@ -217,8 +217,6 @@ func (d *durable) registerMetrics(r *obs.Registry) {
 		func() float64 { return float64(d.heals.Load()) })
 	r.GaugeFunc("ehnad_snapshot_watermark", "WAL sequence the newest snapshot pair covers.",
 		func() float64 { return float64(d.watermark.Load()) })
-	r.GaugeFunc("ehnad_snapshot_count", "Snapshot rotations completed since boot.",
-		func() float64 { return float64(d.snapshots.Load()) })
 	r.GaugeFunc("ehnad_snapshot_last_unix", "Unix time of the last snapshot rotation (0 = never).",
 		func() float64 { return float64(d.lastSnapshot.Load()) })
 	r.GaugeFunc("ehnad_snapshot_error_count", "Failed snapshot rotations since boot.",
@@ -242,8 +240,6 @@ func (d *durable) registerMetrics(r *obs.Registry) {
 				}
 				return 0
 			})
-		r.GaugeFunc("ehnad_compaction_count", "Compaction rebuilds completed since boot.",
-			func() float64 { return float64(d.compactions.Load()) })
 		r.GaugeFunc("ehnad_compaction_last_unix", "Unix time of the last compaction (0 = never).",
 			func() float64 { return float64(d.lastCompaction.Load()) })
 		r.GaugeFunc("ehnad_compaction_threshold", "Tombstone ratio that triggers compaction (<=0 disabled).",

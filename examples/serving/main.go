@@ -1,10 +1,10 @@
 // Serving walkthrough: the full train → serialize → embstore → ann →
 // ehnad pipeline. It trains EHNA on a synthetic temporal network,
 // exports both snapshot formats the daemon accepts, builds the sharded
-// store and all three ANN indexes in-process (exact scan, LSH, HNSW),
-// audits the approximate indexes' recall against exact search, saves
-// the HNSW graph snapshot the daemon can boot from without rebuilding,
-// and prints the exact commands to serve the artifacts with cmd/ehnad.
+// store and both ANN indexes in-process (exact scan, HNSW), audits
+// HNSW's recall against exact search, saves the HNSW graph snapshot the
+// daemon can boot from without rebuilding, and prints the exact
+// commands to serve the artifacts with cmd/ehnad.
 package main
 
 import (
@@ -90,17 +90,13 @@ func main() {
 	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards), %s (flat v3)\n",
 		modelPath, storePath, store.Len(), store.Dim(), store.NumShards(), snapPath)
 
-	// 3. Build all three indexes and answer the same query. The HNSW
+	// 3. Build both indexes and answer the same query. The HNSW
 	//    graph is also snapshotted so the daemon can boot without paying
 	//    the build again (-hnsw-graph). Distance kernels run on the
 	//    backend cpuid picked at startup ("avx2", "neon" or "scalar") —
 	//    the same value /healthz and /metrics report once serving.
 	fmt.Printf("vecmath kernel backend: %s\n", vecmath.Backend())
 	exact := ann.NewExact(store, ann.Cosine)
-	lsh, err := ann.NewLSH(store, ann.DefaultLSHConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	hnsw, err := ann.BuildHNSW(store, ann.DefaultHNSWConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -128,40 +124,34 @@ func main() {
 		fmt.Printf("  node %4d  score %.4f\n", r.ID, r.Score)
 	}
 
-	// 4. Audit approximate recall@k against exact over a query sample —
-	//    the number to watch when tuning -tables/-bits (LSH) or
-	//    -m/-ef-search (HNSW) for your store size.
+	// 4. Audit HNSW recall@k against exact over a query sample — the
+	//    number to watch when tuning -m/-ef-search for your store size.
 	nq := 50
 	if nq > store.Len() {
 		nq = store.Len()
 	}
-	for _, idx := range []struct {
-		name  string
-		index ann.Index
-	}{{"LSH", lsh}, {"HNSW", hnsw}} {
-		var approx, truth [][]graph.NodeID
-		for qi := 0; qi < nq; qi++ {
-			qv, ok := store.Get(graph.NodeID(qi))
-			if !ok {
-				continue
-			}
-			er, err := exact.Search(qv, k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ar, err := idx.index.Search(qv, k)
-			if err != nil {
-				log.Fatal(err)
-			}
-			truth = append(truth, resultIDs(er))
-			approx = append(approx, resultIDs(ar))
+	var approx, truth [][]graph.NodeID
+	for qi := 0; qi < nq; qi++ {
+		qv, ok := store.Get(graph.NodeID(qi))
+		if !ok {
+			continue
 		}
-		recall, err := eval.MeanRecallAtK(approx, truth)
+		er, err := exact.Search(qv, k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s recall@%d vs exact over %d queries: %.3f\n", idx.name, k, nq, recall)
+		ar, err := hnsw.Search(qv, k)
+		if err != nil {
+			log.Fatal(err)
+		}
+		truth = append(truth, resultIDs(er))
+		approx = append(approx, resultIDs(ar))
 	}
+	recall, err := eval.MeanRecallAtK(approx, truth)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("HNSW recall@%d vs exact over %d queries: %.3f\n", k, nq, recall)
 
 	// 5. Serve it. Either embedding artifact boots the daemon; pick the
 	//    index with -index (hnsw reuses the saved graph snapshot), and

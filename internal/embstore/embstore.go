@@ -429,7 +429,7 @@ func (s *Store) Precision() Precision { return s.prec }
 func (s *Store) NumShards() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard holding id. Batch consumers
-// (e.g. LSH re-ranking) group IDs by shard so each shard's lock is
+// (e.g. the sq8 re-rank in internal/ann) group IDs by shard so each shard's lock is
 // taken once per batch instead of once per vector.
 func (s *Store) ShardOf(id graph.NodeID) int { return s.shardIndex(id) }
 
