@@ -4,16 +4,18 @@ package main
 
 // Daemon-level tests for beyond-RAM serving: booting the store from a
 // mapped v3 snapshot, folding the write overlay back into the base at
-// rotation, upconverting legacy gob directories, and staying correct
-// across the crash states a rotation can be interrupted in.
+// rotation, refusing WAL directories written before the v3 format, and
+// staying correct across the crash states a rotation can be interrupted
+// in.
 
 import (
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -186,101 +188,36 @@ func mustConvert(t *testing.T, src *embstore.Store, prec embstore.Precision) *em
 	return out
 }
 
-// TestGobUpconvertOnRotation: a WAL directory from before the v3 format
-// (legacy gob snapshot) boots, serves, and converts itself — the first
-// rotation writes the v3 base and deletes the gob image; the next boot
-// can then map it.
-func TestGobUpconvertOnRotation(t *testing.T) {
-	const dim, n = 12, 200
-	walDir := t.TempDir()
+// TestFollowerBootstrapsMmap: a -store=mmap follower on an empty WAL
+// dir bootstraps from the leader's v3 export. The follower runs sq8
+// against an f64 leader, so boot also re-encodes the bootstrapped base
+// before mapping it; the mapped store starts at the export watermark.
+func TestFollowerBootstrapsMmap(t *testing.T) {
+	const dim, n = 12, 80
+	leader, err := buildServer(walConfigAt(t.TempDir(), embstore.F64, dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.close()
+	seedDaemon(t, leader, n, dim, 66)
+	tsL := httptest.NewServer(leader.handler())
+	defer tsL.Close()
 
-	// Generation 0 writes its snapshot, then we rewrite it as legacy gob
-	// to simulate a directory inherited from an older daemon.
-	srv, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
+	fcfg := mmapConfigAt(t.TempDir(), embstore.SQ8, dim)
+	fcfg.follow = tsL.URL
+	follower, err := buildServer(fcfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("mmap follower bootstrap: %v", err)
 	}
-	ref := seedDaemon(t, srv, n, dim, 62)
-	wm, err := srv.dur.snapshot()
-	if err != nil {
-		t.Fatal(err)
+	defer follower.close()
+	if !follower.store.Cold() || follower.store.Precision() != embstore.SQ8 {
+		t.Fatalf("follower cold=%v precision=%s, want a mapped sq8 base", follower.store.Cold(), follower.store.Precision())
 	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return srv.store.SaveSnapshot(w, wm)
-	}); err != nil {
-		t.Fatal(err)
+	if got, want := follower.dur.watermark.Load(), leader.dur.applied(); got != want {
+		t.Fatalf("bootstrap watermark %d, want the leader's export seq %d", got, want)
 	}
-	srv.close()
-	if err := os.Remove(walSnapshotV3Path(walDir)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Generation 1 (ram mode) boots from the gob image...
-	srv1, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatalf("legacy gob boot: %v", err)
-	}
-	if !srv1.store.Equal(ref) {
-		t.Fatal("legacy gob boot diverges from reference")
-	}
-	// ...and its first rotation upconverts: v3 written, gob gone.
-	if _, err := srv1.dur.snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	srv1.close()
-	if !embstore.IsV3Snapshot(walSnapshotV3Path(walDir)) {
-		t.Fatal("rotation did not write a v3 snapshot")
-	}
-	if _, err := os.Stat(walSnapshotPath(walDir)); !os.IsNotExist(err) {
-		t.Fatalf("legacy gob snapshot still present after v3 rotation (err=%v)", err)
-	}
-
-	// Generation 2 maps the upconverted base.
-	srv2, err := buildServer(mmapConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatalf("mmap boot after upconvert: %v", err)
-	}
-	defer srv2.close()
-	if !srv2.store.Cold() || !srv2.store.Equal(ref) {
-		t.Fatalf("mapped store cold=%v, equal=%v", srv2.store.Cold(), srv2.store.Equal(ref))
-	}
-	if srv2.dur.replayed != 0 {
-		t.Errorf("replayed %d records after clean upconvert, want 0", srv2.dur.replayed)
-	}
-}
-
-// TestGobSeedBootsMmap: -store=mmap over a WAL directory that has a
-// legacy gob snapshot (no v3) writes the v3 base immediately at boot
-// and serves cold from the first generation.
-func TestGobSeedBootsMmap(t *testing.T) {
-	const dim, n = 12, 150
-	walDir := t.TempDir()
-	srv, err := buildServer(walConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := seedDaemon(t, srv, n, dim, 63)
-	wm, err := srv.dur.snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return srv.store.SaveSnapshot(w, wm)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.close()
-	if err := os.Remove(walSnapshotV3Path(walDir)); err != nil {
-		t.Fatal(err)
-	}
-
-	srv1, err := buildServer(mmapConfigAt(walDir, embstore.F64, dim))
-	if err != nil {
-		t.Fatalf("mmap boot over gob-only dir: %v", err)
-	}
-	defer srv1.close()
-	if !srv1.store.Cold() || !srv1.store.Equal(ref) {
-		t.Fatalf("cold=%v equal=%v after gob-seeded mmap boot", srv1.store.Cold(), srv1.store.Equal(ref))
+	if !follower.store.Equal(mustConvert(t, leader.store, embstore.SQ8)) {
+		t.Fatal("bootstrapped follower diverges from the leader's store")
 	}
 }
 
@@ -343,15 +280,18 @@ func TestMmapRotationFaultKeepsOldBase(t *testing.T) {
 	}
 }
 
-// TestCrashStatesMidRotation: deterministic reconstructions of the two
-// places a crash can interrupt a v3 rotation, both of which must boot.
+// TestCrashStatesMidRotation: deterministic reconstructions of the
+// on-disk states a WAL directory can be found in at boot.
 //
 //  1. Power loss mid-write: a half-written store.snap.tmp next to the
 //     intact previous base — the torn temp is garbage to be ignored,
 //     never parsed.
-//  2. Crash after publish but before legacy cleanup: both store.snap
-//     and store.gob present — v3 wins, the stale gob is removed by the
-//     next rotation.
+//  2. A stale store.gob from before the v3 format beside store.snap —
+//     v3 wins and the gob file is never read.
+//  3. store.gob without store.snap: a directory written before v3.
+//     Boot refuses it in both store modes with an error naming the file
+//     and the removed format, instead of replaying the WAL suffix onto
+//     an empty store.
 func TestCrashStatesMidRotation(t *testing.T) {
 	const dim, n = 16, 120
 	walDir := t.TempDir()
@@ -392,29 +332,43 @@ func TestCrashStatesMidRotation(t *testing.T) {
 	}
 
 	// State 2: v3 and a stale legacy gob side by side.
-	stale, err := embstore.New(dim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(walSnapshotPath(walDir), func(w io.Writer) error {
-		return stale.SaveSnapshot(w, 0)
-	}); err != nil {
+	gobPath := filepath.Join(walDir, legacyWALSnapshot)
+	if err := os.WriteFile(gobPath, []byte("stale pre-v3 gob store snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv2, err := buildServer(mmapConfigAt(walDir, embstore.SQ8, dim))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("boot beside a stale gob snapshot: %v", err)
 	}
 	if !srv2.store.Equal(refSQ8) {
-		t.Fatal("boot preferred the stale gob over the v3 base")
+		t.Fatal("boot beside the stale gob diverges from the v3 base")
 	}
-	if _, err := srv2.dur.snapshot(); err != nil {
+	// Leave a WAL suffix past the watermark, as a pre-v3 daemon would.
+	id := graph.NodeID(n + 1)
+	if _, err := srv2.dur.upsert([]upsertUpdate{{ID: &id, Vector: make([]float64, dim)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(walSnapshotPath(walDir)); !os.IsNotExist(err) {
-		t.Fatalf("rotation kept the stale legacy gob (err=%v)", err)
-	}
 	srv2.close()
+
+	// State 3: the gob file alone.
+	if err := os.Remove(walSnapshotV3Path(walDir)); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"ram", "mmap"} {
+		cfg := walConfigAt(walDir, embstore.SQ8, dim)
+		cfg.storeMode = mode
+		srv3, err := buildServer(cfg)
+		if err == nil {
+			srv3.close()
+			t.Fatalf("-store=%s booted a gob-only wal dir", mode)
+		}
+		if !strings.Contains(err.Error(), gobPath) || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("-store=%s: gob-only refusal %q does not name %s and the removed format", mode, err, gobPath)
+		}
+	}
+	if _, err := os.Stat(walSnapshotV3Path(walDir)); !os.IsNotExist(err) {
+		t.Fatalf("refused boot wrote a v3 base (err=%v)", err)
+	}
 }
 
 // TestCrashMmapMidRotationE2E SIGKILLs a real mmap-mode daemon process

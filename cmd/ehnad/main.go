@@ -13,7 +13,7 @@
 //	                         acks carry the WAL seq)
 //	POST /v1/delete          remove vectors (WAL-logged, then store + index)
 //	GET  /v1/vector          resolve one stored id to its vector (router id-queries)
-//	GET  /v1/export          stream an embstore snapshot of the live store
+//	GET  /v1/export          stream a v3 store snapshot of the live store
 //	                         (watermark-stamped with -wal; follower bootstrap source)
 //	GET  /v1/repl/stream     (with -wal) ship framed WAL records to a follower
 //	GET  /v1/repl/status     role + replication watermarks
@@ -25,9 +25,10 @@
 //	GET  /debug/pprof/       (with -pprof) live CPU/heap/mutex profiling
 //
 // The embedding source is either -model (an ehna model snapshot written
-// by Model.Save — serves the raw embedding table) or -snapshot (an
-// embstore snapshot written by Store.Save — e.g. the attention-
-// aggregated InferAll embeddings exported by examples/serving).
+// by Model.Save — serves the raw embedding table) or -snapshot (a v3
+// store snapshot written by Store.SaveSnapshotV3 or fetched from
+// /v1/export — e.g. the attention-aggregated InferAll embeddings
+// exported by examples/serving).
 //
 // Durability: with -wal DIR the daemon is a system of record, not a
 // cache. Every mutation is appended to a write-ahead log (fsynced per
@@ -84,7 +85,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		model     = flag.String("model", "", "path to an ehna model snapshot (Model.Save)")
-		snapshot  = flag.String("snapshot", "", "path to an embstore snapshot (Store.Save)")
+		snapshot  = flag.String("snapshot", "", "path to a v3 store snapshot (Store.SaveSnapshotV3, or a /v1/export body)")
 		dim       = flag.Int("dim", 0, "with -wal: boot an empty store of this dimensionality when no snapshot or seed exists yet")
 		precision = flag.String("precision", "f64", "vector slab precision: f64 (full), f32 (half the memory), or sq8 (int8 scalar quantization, ~8x less memory; recall gated >= 0.95). Applies per boot: snapshots of any precision convert to this layout on load, so pass the same value on every restart to keep the layout. WAL records stay full-precision")
 		storeMode = flag.String("store", "ram", "store residency: ram (heap slabs, fastest) or mmap (serve the vector slabs straight from a mapped v3 snapshot; boot is O(1) in dataset size and the OS pages vectors in on demand, so the set can exceed RAM)")
@@ -299,9 +300,6 @@ func buildServer(cfg serverConfig) (*server, error) {
 		if cfg.snapshot == "" {
 			return nil, fmt.Errorf("-store=mmap without -wal requires -snapshot pointing at a v3 snapshot (SaveSnapshotV3 output)")
 		}
-		if !embstore.IsV3Snapshot(cfg.snapshot) {
-			return nil, fmt.Errorf("-store=mmap: %s is not a v3 snapshot (gob snapshots must be converted first, e.g. by booting once with -wal)", cfg.snapshot)
-		}
 		store, _, err = embstore.OpenMmap(cfg.snapshot)
 		if err != nil {
 			return nil, fmt.Errorf("mmap snapshot %s: %w", cfg.snapshot, err)
@@ -362,30 +360,27 @@ func buildServer(cfg serverConfig) (*server, error) {
 	return srv, nil
 }
 
-// walSnapshotPath is where the legacy gob store snapshot lives in WAL
-// mode — read at boot for directories written before the v3 format,
-// never written anymore (rotation removes it once a v3 base exists).
-func walSnapshotPath(walDir string) string { return filepath.Join(walDir, "store.gob") }
+// legacyWALSnapshot is the gob store snapshot WAL directories held
+// before the v3 format. The format is gone; boot refuses a directory
+// that has only this file rather than replaying its WAL suffix onto an
+// empty store.
+const legacyWALSnapshot = "store.gob"
 
 // walSnapshotV3Path is where the rotating flat v3 snapshot lives in WAL
 // mode: the file the mmap store serves straight out of.
 func walSnapshotV3Path(walDir string) string { return filepath.Join(walDir, "store.snap") }
 
-// loadWALStore loads the store for a WAL directory, preferring the flat
-// v3 snapshot over the legacy gob one and falling back to the seed
-// artifacts. The matrix by mode:
+// loadWALStore loads the store for a WAL directory from its v3
+// snapshot, falling back to the seed artifacts. The matrix by mode:
 //
 //	v3 exists:  ram → copy it into heap slabs at -precision;
 //	            mmap → map it (precision mismatch: materialize at the
 //	            requested precision, rewrite the base, map the rewrite).
-//	gob only:   load + convert (the pre-v3 upgrade path); mmap
-//	            additionally writes a v3 base now and maps it, so the
-//	            cold tier exists from the first boot after the upgrade.
-//	neither:    seed from -model/-snapshot/-dim; mmap writes + maps a
-//	            v3 base exactly as in the gob case.
+//	gob only:   refused (written before v3; the format was removed).
+//	neither:    seed from -model/-snapshot/-dim; mmap writes a v3 base
+//	            from the seed now and maps it.
 //
-// Rotation keeps the v3 base fresh from then on and deletes the legacy
-// gob file once a v3 pair is durable.
+// Rotation keeps the v3 base fresh from then on.
 func loadWALStore(cfg serverConfig, fsys faultfs.FS) (*embstore.Store, uint64, error) {
 	v3Path := walSnapshotV3Path(cfg.walDir)
 	mmapMode := cfg.storeMode == "mmap"
@@ -428,49 +423,31 @@ func loadWALStore(cfg serverConfig, fsys faultfs.FS) (*embstore.Store, uint64, e
 		return nil, 0, serr
 	}
 
-	var (
-		store     *embstore.Store
-		watermark uint64
-	)
-	gobPath := walSnapshotPath(cfg.walDir)
-	if f, ferr := os.Open(gobPath); ferr == nil {
-		// Load at the requested precision whatever precision the snapshot
-		// was written in: a daemon switching to -precision sq8 upconverts
-		// its old f64 image on this boot and writes sq8 images from the
-		// next rotation on.
-		var err error
-		store, watermark, err = embstore.LoadSnapshotAt(f, cfg.shards, cfg.precision)
-		f.Close()
-		if err != nil {
-			return nil, 0, fmt.Errorf("load wal snapshot %s: %w", gobPath, err)
-		}
-		log.Printf("ehnad: legacy wal snapshot %s loaded: %d nodes at %s, watermark %d (v3 from the next rotation)",
-			gobPath, store.Len(), store.Precision(), watermark)
-	} else if !os.IsNotExist(ferr) {
-		return nil, 0, ferr
-	} else {
-		var err error
-		store, err = seedStore(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
+	gobPath := filepath.Join(cfg.walDir, legacyWALSnapshot)
+	if _, err := os.Stat(gobPath); err == nil {
+		return nil, 0, fmt.Errorf("wal snapshot %s is a gob store snapshot, a format that was removed: boot needs a v3 %s (seed a fresh wal dir from a v3 snapshot or a /v1/export body)",
+			gobPath, filepath.Base(v3Path))
+	} else if !os.IsNotExist(err) {
+		return nil, 0, err
+	}
+	store, err := seedStore(cfg)
+	if err != nil {
+		return nil, 0, err
 	}
 	if mmapMode {
 		// mmap mode needs an on-disk v3 base to serve from; write one from
-		// the materialized store and reopen it cold. The WAL suffix past
-		// the (unchanged) watermark replays into the overlay as usual.
-		if err := writeStoreSnapshotV3(fsys, v3Path, store, watermark); err != nil {
+		// the seeded store and reopen it cold. WAL records past the zero
+		// watermark replay into the overlay as usual.
+		if err := writeStoreSnapshotV3(fsys, v3Path, store, 0); err != nil {
 			return nil, 0, fmt.Errorf("write v3 base %s: %w", v3Path, err)
 		}
-		cold, wm, err := embstore.OpenMmap(v3Path)
-		if err != nil {
+		if store, _, err = embstore.OpenMmap(v3Path); err != nil {
 			return nil, 0, fmt.Errorf("load wal snapshot %s: %w", v3Path, err)
 		}
-		store, watermark = cold, wm
-		log.Printf("ehnad: v3 base %s written and mapped: %d nodes at %s, watermark %d",
-			v3Path, store.Len(), store.Precision(), watermark)
+		log.Printf("ehnad: v3 base %s written and mapped: %d nodes at %s",
+			v3Path, store.Len(), store.Precision())
 	}
-	return store, watermark, nil
+	return store, 0, nil
 }
 
 // writeStoreSnapshotV3 publishes a flat v3 snapshot of store via the
@@ -511,16 +488,7 @@ func loadStore(model, snapshot string, shards int, prec embstore.Precision) (*em
 		defer f.Close()
 		return embstore.FromModelSnapshotPrecision(f, shards, prec)
 	default:
-		if embstore.IsV3Snapshot(snapshot) {
-			s, _, err := embstore.LoadSnapshotV3At(snapshot, shards, prec)
-			return s, err
-		}
-		f, err := os.Open(snapshot)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		s, _, err := embstore.LoadSnapshotAt(f, shards, prec)
+		s, _, err := embstore.LoadSnapshotV3At(snapshot, shards, prec)
 		return s, err
 	}
 }

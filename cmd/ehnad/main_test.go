@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -563,22 +564,104 @@ func TestDeleteEndpoint(t *testing.T) {
 	}
 }
 
-// TestExportEndpoint: the exported stream is a loadable embstore
-// snapshot equal to the live store.
-func TestExportEndpoint(t *testing.T) {
-	store, _ := trainedStore(t)
-	_, ts := newTestServer(t, store, "exact")
-	resp, err := http.Get(ts.URL + "/v1/export")
+// exportStore fetches base's /v1/export, writes the body to a temp
+// file, checks it is a v3 snapshot and loads it at its native
+// precision.
+func exportStore(t *testing.T, client *http.Client, base string) *embstore.Store {
+	t.Helper()
+	resp, err := client.Get(base + "/v1/export")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	loaded, err := embstore.Load(resp.Body, 8)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %s", resp.Status)
+	}
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Equal(store) {
+	if !bytes.HasPrefix(body, []byte("EHNASNP3")) {
+		t.Fatalf("export does not start with the v3 magic: %q", body[:min(len(body), 8)])
+	}
+	path := filepath.Join(t.TempDir(), "export.snap")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := embstore.LoadSnapshotV3(path, 4)
+	if err != nil {
+		t.Fatalf("export did not load as a v3 snapshot: %v", err)
+	}
+	return s
+}
+
+// TestExportEndpoint: the exported stream is a loadable v3 snapshot
+// equal to the live store.
+func TestExportEndpoint(t *testing.T) {
+	store, _ := trainedStore(t)
+	_, ts := newTestServer(t, store, "exact")
+	if !exportStore(t, http.DefaultClient, ts.URL).Equal(store) {
 		t.Fatal("export stream differs from live store")
+	}
+}
+
+// TestExportUnreadDoesNotStallWrites: a client that opens /v1/export
+// and stops reading must not hold up the write path. The export is far
+// larger than the loopback socket buffers, so a server that streamed
+// the snapshot under the applier lock would block the upsert below for
+// as long as the client stayed connected.
+func TestExportUnreadDoesNotStallWrites(t *testing.T) {
+	const n, dim = 60_000, 64
+	seed, err := embstore.FromMatrix(tensor.Randn(n, dim, 1, rand.New(rand.NewSource(5))), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedPath := filepath.Join(t.TempDir(), "seed.snap")
+	f, err := os.Create(seedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.SaveSnapshotV3(f, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cfg := walConfigAt(t.TempDir(), embstore.F64, dim)
+	cfg.index = testIndexOptions("exact")
+	cfg.snapshot = seedPath
+	srv, err := buildServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	// Get returns once the headers are in; the body is never read.
+	resp, err := http.Get(ts.URL + "/v1/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close() // unblocks a stalled server so cleanup can finish
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %s", resp.Status)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		id := graph.NodeID(n)
+		vec := make([]float64, dim)
+		vec[0] = 1
+		_, err := srv.dur.upsert([]upsertUpdate{{ID: &id, Vector: vec}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("upsert stalled behind an unread /v1/export")
 	}
 }
 
@@ -600,12 +683,12 @@ func TestAdminEndpointsRequireWAL(t *testing.T) {
 func TestWALModeBootFromSeedSnapshot(t *testing.T) {
 	store, _ := trainedStore(t)
 	dir := t.TempDir()
-	seedPath := filepath.Join(dir, "seed.gob")
+	seedPath := filepath.Join(dir, "seed.snap")
 	f, err := os.Create(seedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Save(f); err != nil {
+	if err := store.SaveSnapshotV3(f, 0); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ehna/internal/cluster"
-	"ehna/internal/embstore"
 )
 
 // waitConverged polls until the follower's applied watermark reaches
@@ -193,16 +192,7 @@ func TestReplicationFollowerResumesAfterRestart(t *testing.T) {
 	waitConverged(t, follower2, leader, leader.dur.applied())
 
 	// And the exported images agree end to end.
-	resp, err := client.Get(tsL.URL + "/v1/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exported, _, err := embstore.LoadSnapshotAt(resp.Body, 4, embstore.F64)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exported.Equal(follower2.store) {
+	if !exportStore(t, client, tsL.URL).Equal(follower2.store) {
 		t.Fatal("leader export and rebooted follower store diverge")
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -614,26 +616,41 @@ func (s *server) writeDurabilityError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, "%v", err)
 }
 
-// handleExport streams an embstore snapshot of the live store — the
-// same format -snapshot accepts, so an export can seed another daemon
-// (or a test comparing recovered state against a reference).
+// handleExport streams a v3 snapshot of the live store — the same
+// format -snapshot accepts, so an export can seed another daemon (or a
+// test comparing recovered state against a reference). The snapshot is
+// written to a temp file first and streamed from there, so whatever
+// lock the save takes is released before any network I/O: a client
+// that stops reading stalls only its own response.
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	// With a WAL the export is watermark-stamped under the applier lock,
 	// so a follower bootstrapping from it resumes the replication stream
 	// at exactly the exported sequence. Without one there is no sequence
 	// space; the plain store image (watermark 0) is all there is.
-	var err error
+	save := func(ws io.WriteSeeker) error { return s.store.SaveSnapshotV3(ws, 0) }
 	if s.dur != nil {
-		err = s.dur.exportTo(w)
-	} else {
-		err = s.store.Save(w)
+		save = s.dur.exportTo
+	}
+	f, err := os.CreateTemp("", "ehnad-export-*.snap")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "export: %v", err)
+		return
+	}
+	defer os.Remove(f.Name())
+	defer f.Close()
+	if err = save(f); err == nil {
+		_, err = f.Seek(0, io.SeekStart)
 	}
 	if err != nil {
+		writeError(w, http.StatusInternalServerError, "export: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if _, err := io.Copy(w, f); err != nil {
 		// Headers are gone; all we can do is cut the stream short and
 		// leave the evidence in the daemon log.
 		log.Printf("ehnad: export: %v", err)

@@ -1,8 +1,8 @@
 // Serving walkthrough: the full train → serialize → embstore → ann →
 // ehnad pipeline. It trains EHNA on a synthetic temporal network,
-// exports both snapshot formats the daemon accepts, builds the sharded
-// store and both ANN indexes in-process (exact scan, HNSW), audits
-// HNSW's recall against exact search, saves the HNSW graph snapshot the
+// exports the model and store snapshots the daemon boots from, builds
+// the sharded store and both ANN indexes in-process (exact scan, HNSW),
+// audits HNSW's recall against exact search, saves the HNSW graph snapshot the
 // daemon can boot from without rebuilding, and prints the exact
 // commands to serve the artifacts with cmd/ehnad.
 package main
@@ -45,8 +45,10 @@ func main() {
 
 	// 2. Serialize the serving artifacts. The model snapshot carries the
 	//    raw embedding table (+ parameters, for resumed training); the
-	//    embstore snapshot carries the attention-aggregated InferAll
-	//    embeddings — the vectors the paper's evaluation actually uses.
+	//    flat v3 store snapshot carries the attention-aggregated InferAll
+	//    embeddings — the vectors the paper's evaluation actually uses —
+	//    and is what -snapshot loads onto the heap or -store=mmap serves
+	//    in place.
 	outDir := "serving-out"
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		log.Fatal(err)
@@ -66,29 +68,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	storePath := filepath.Join(outDir, "store.gob")
-	sf, err := os.Create(storePath)
+	snapPath := filepath.Join(outDir, "store.snap")
+	sf, err := os.Create(snapPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.Save(sf); err != nil {
+	if err := store.SaveSnapshotV3(sf, 0); err != nil {
 		log.Fatal(err)
 	}
 	sf.Close()
-
-	// The flat v3 snapshot of the same store: the artifact -store=mmap
-	// serves in place, without copying vectors onto the heap.
-	snapPath := filepath.Join(outDir, "store.snap")
-	vf, err := os.Create(snapPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.SaveSnapshotV3(vf, 0); err != nil {
-		log.Fatal(err)
-	}
-	vf.Close()
-	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards), %s (flat v3)\n",
-		modelPath, storePath, store.Len(), store.Dim(), store.NumShards(), snapPath)
+	fmt.Printf("artifacts: %s (model), %s (store, %d×%d across %d shards)\n",
+		modelPath, snapPath, store.Len(), store.Dim(), store.NumShards())
 
 	// 3. Build both indexes and answer the same query. The HNSW
 	//    graph is also snapshotted so the daemon can boot without paying
@@ -169,7 +159,7 @@ tombstones compacted in the background (the -snapshot seed is only
 read on the first boot; afterwards %s recovers everything):
   go run ./cmd/ehnad -snapshot %s -index hnsw -wal %s
 
-beyond RAM — mmap the flat v3 snapshot instead of copying it onto the
+beyond RAM — mmap the store snapshot instead of copying it onto the
 heap: boot is O(1) in dataset size and the OS pages vectors in on
 demand, so the set may exceed memory (/healthz reports the mapping
 and overlay sizes; see "Beyond-RAM serving" in the README):
@@ -184,7 +174,7 @@ then query:
   curl -s -X POST localhost:8080/v1/score -d '{"u":0,"v":1,"op":"hadamard"}'
   curl -s -X POST localhost:8080/v1/upsert -d '{"id":900000,"vector":[...]}'
   curl -s -X POST localhost:8080/v1/delete -d '{"id":900000}'
-  curl -s localhost:8080/v1/export > backup.gob
+  curl -s localhost:8080/v1/export > backup.snap
 
 watch it (Prometheus text format), then prove it holds under open-loop
 load with an SLO gate (exit code 0 = pass):
@@ -204,7 +194,7 @@ talk to the router):
       -shard a=http://localhost:8081,http://localhost:8083 \
       -shard b=http://localhost:8082
   curl -s -X POST localhost:8090/v1/neighbors -d '{"id":%d,"k":%d}'
-`, storePath, storePath, graphPath, walDir, storePath, walDir, snapPath, graphPath, modelPath, target, k,
+`, snapPath, snapPath, graphPath, walDir, snapPath, walDir, snapPath, graphPath, modelPath, target, k,
 		walDir, cfg.Dim, walDir, cfg.Dim, walDir, cfg.Dim, target, k)
 }
 

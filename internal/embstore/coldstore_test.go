@@ -3,7 +3,6 @@
 package embstore
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -272,31 +271,6 @@ func TestColdRemapMismatch(t *testing.T) {
 	ramStore, _ := NewPrecision(4, 2, F64)
 	if err := ramStore.Remap("/nonexistent"); err == nil {
 		t.Fatal("Remap of a RAM store succeeded")
-	}
-}
-
-// TestColdSaveGob: the gob snapshot path (the /v1/export format) still
-// works over a cold store — follower bootstrap doesn't care about the
-// leader's store backend.
-func TestColdSaveGob(t *testing.T) {
-	ram, _ := NewPrecision(5, 3, SQ8)
-	fillRandom(t, ram, 120, 15)
-	cold, _ := openCold(t, ram, 0)
-	cold.Upsert(gid(777_777), []float64{1, 1, 1, 1, 1})
-
-	var buf bytes.Buffer
-	if err := cold.SaveSnapshot(&buf, 8); err != nil {
-		t.Fatal(err)
-	}
-	got, wm, err := LoadSnapshot(&buf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm != 8 {
-		t.Fatalf("watermark = %d", wm)
-	}
-	if !got.Equal(cold) {
-		t.Fatal("gob round trip of cold store differs")
 	}
 }
 
