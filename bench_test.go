@@ -19,6 +19,7 @@ import (
 
 	"ehna/internal/ann"
 	"ehna/internal/datagen"
+	"ehna/internal/ehna"
 	"ehna/internal/embstore"
 	"ehna/internal/eval"
 	"ehna/internal/experiments"
@@ -536,3 +537,33 @@ func BenchmarkExtensionNodeClassification(b *testing.B) {
 		b.ReportMetric(r.Accuracy["Node2Vec"], "N2V_acc")
 	}
 }
+
+// BenchmarkTrainEpoch times one EHNA training epoch at the size of the
+// perfbench train workload: the Digg analogue at scale 0.05, the Quick
+// configuration with one epoch, one worker per CPU. Each iteration
+// trains a fresh model, so every iteration does the same work.
+func BenchmarkTrainEpoch(b *testing.B) {
+	g, err := datagen.Generate(datagen.Digg, 0.05, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := quick()
+	s.Workers = runtime.NumCPU()
+	cfg := s.EHNAConfig()
+	cfg.Epochs = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := ehna.NewModel(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		epochLoss = m.TrainEpoch()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*g.NumEdges()), "ms/edge")
+}
+
+// epochLoss keeps BenchmarkTrainEpoch's result live.
+var epochLoss float64

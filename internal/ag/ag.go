@@ -2,10 +2,20 @@
 // matrices (a "tape" or Wengert list). It is the training substrate that
 // replaces the Python autodiff stack used by the original EHNA paper.
 //
-// Usage: create a Tape per forward pass, build the computation with the
-// Tape's operator methods, then call Backward on a scalar (1×1) root node.
-// Gradients of Leaf nodes are accumulated into caller-owned sink matrices,
-// which optimizers (internal/nn) then consume.
+// Usage: create a Tape, build the computation with the Tape's operator
+// methods, then call Backward on a scalar (1×1) root node. Gradients of
+// Leaf nodes are accumulated into caller-owned sink matrices, which
+// optimizers (internal/nn) then consume.
+//
+// A Tape owns the memory of the graph it records: every node, every
+// value an operator computes, every gradient and every matrix taken
+// with Matrix is carved from chunks the Tape keeps. Reset rewinds those
+// chunks so the next graph reuses them, which is how a training loop
+// runs one Tape per worker instead of allocating a graph's memory per
+// example. Lifetime rule: nothing taken from a Tape — a Node, its Value
+// or Grad, a Matrix — may be used after the Tape's Reset; copy out what
+// must outlive it. A value kept after its Tape is dropped keeps the
+// whole chunk holding it alive. A Tape is not safe for concurrent use.
 //
 // Every operator's gradient is verified against central finite differences
 // in ag_test.go.
@@ -23,39 +33,76 @@ import (
 type Node struct {
 	Value *tensor.Matrix
 	grad  *tensor.Matrix
+	tape  *Tape
 	back  func(n *Node)
 	needs bool // whether any ancestor is a Leaf (gradient required)
 }
 
-// Grad returns the accumulated gradient of n, allocating it on first use.
+// Grad returns the accumulated gradient of n, taking it from the node's
+// tape on first use.
 func (n *Node) Grad() *tensor.Matrix {
 	if n.grad == nil {
-		n.grad = tensor.New(n.Value.Rows, n.Value.Cols)
+		n.grad = n.tape.Matrix(n.Value.Rows, n.Value.Cols)
 	}
 	return n.grad
 }
 
-// Tape records nodes in topological (creation) order.
+// Tape records nodes in topological (creation) order and owns their
+// memory.
 type Tape struct {
-	nodes []*Node
+	nodes  []*Node
+	floats slab[float64]
+	mats   slab[tensor.Matrix]
+	recs   slab[Node]
 }
 
-// New returns an empty tape.
+// New returns an empty tape. Its arena starts with small chunks, so a
+// tape used for one graph and dropped allocates about what it uses.
 func New() *Tape {
 	return &Tape{nodes: make([]*Node, 0, 256)}
+}
+
+// Reset forgets every recorded node and rewinds the tape's arena, so
+// the next graph recorded on it reuses the same memory. The memory used
+// so far is zeroed: the next graph's values and gradients start from
+// zero as on a new tape. Nothing taken from the tape before Reset may
+// be used after it.
+func (t *Tape) Reset() {
+	t.nodes = t.nodes[:0]
+	t.floats.reset()
+	t.mats.reset()
+	t.recs.reset()
+}
+
+// Matrix returns a zeroed rows×cols matrix carved from the tape's
+// arena, valid until the next Reset. Layers use it for the values they
+// record with Const, Leaf or LeafFunc.
+func (t *Tape) Matrix(rows, cols int) *tensor.Matrix {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("ag: negative dimensions %dx%d", rows, cols))
+	}
+	m := &t.mats.take(1)[0]
+	*m = tensor.Matrix{Rows: rows, Cols: cols, Data: t.floats.take(rows * cols)}
+	return m
 }
 
 // Len returns the number of recorded nodes (useful for instrumentation).
 func (t *Tape) Len() int { return len(t.nodes) }
 
-func (t *Tape) add(n *Node) *Node {
+// node records a new node holding v.
+func (t *Tape) node(v *tensor.Matrix, needs bool) *Node {
+	n := &t.recs.take(1)[0]
+	*n = Node{Value: v, tape: t, needs: needs}
 	t.nodes = append(t.nodes, n)
 	return n
 }
 
+// like returns a zeroed matrix of m's shape from the tape.
+func (t *Tape) like(m *tensor.Matrix) *tensor.Matrix { return t.Matrix(m.Rows, m.Cols) }
+
 // Const records a node that requires no gradient.
 func (t *Tape) Const(v *tensor.Matrix) *Node {
-	return t.add(&Node{Value: v})
+	return t.node(v, false)
 }
 
 // Leaf records a differentiable input whose gradient is accumulated into
@@ -64,20 +111,21 @@ func (t *Tape) Leaf(v, sink *tensor.Matrix) *Node {
 	if v.Rows != sink.Rows || v.Cols != sink.Cols {
 		panic(fmt.Sprintf("ag: Leaf sink shape %dx%d != value %dx%d", sink.Rows, sink.Cols, v.Rows, v.Cols))
 	}
-	n := &Node{Value: v, needs: true}
+	n := t.node(v, true)
 	n.back = func(n *Node) {
 		tensor.AddInPlace(sink, n.Grad())
 	}
-	return t.add(n)
+	return n
 }
 
 // LeafFunc records a differentiable input whose gradient is delivered to fn
 // at backward time. Used for embedding-table lookups where the gradient is
-// scattered into sparse per-row accumulators.
+// scattered into sparse per-row accumulators. grad belongs to the tape:
+// fn must not keep it.
 func (t *Tape) LeafFunc(v *tensor.Matrix, fn func(grad *tensor.Matrix)) *Node {
-	n := &Node{Value: v, needs: true}
+	n := t.node(v, true)
 	n.back = func(n *Node) { fn(n.Grad()) }
-	return t.add(n)
+	return n
 }
 
 // Backward seeds the gradient of the scalar root with 1 and propagates
@@ -106,7 +154,9 @@ func needsAny(parents ...*Node) bool {
 
 // Add returns a + b.
 func (t *Tape) Add(a, b *Node) *Node {
-	n := &Node{Value: tensor.Add(a.Value, b.Value), needs: needsAny(a, b)}
+	val := t.like(a.Value)
+	tensor.AddInto(val, a.Value, b.Value)
+	n := t.node(val, needsAny(a, b))
 	if n.needs {
 		n.back = func(n *Node) {
 			if a.needs {
@@ -117,12 +167,14 @@ func (t *Tape) Add(a, b *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Sub returns a − b.
 func (t *Tape) Sub(a, b *Node) *Node {
-	n := &Node{Value: tensor.Sub(a.Value, b.Value), needs: needsAny(a, b)}
+	val := t.like(a.Value)
+	tensor.SubInto(val, a.Value, b.Value)
+	n := t.node(val, needsAny(a, b))
 	if n.needs {
 		n.back = func(n *Node) {
 			if a.needs {
@@ -133,83 +185,104 @@ func (t *Tape) Sub(a, b *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Mul returns the element-wise product a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
-	n := &Node{Value: tensor.Hadamard(a.Value, b.Value), needs: needsAny(a, b)}
+	val := t.like(a.Value)
+	tensor.HadamardInto(val, a.Value, b.Value)
+	n := t.node(val, needsAny(a, b))
 	if n.needs {
 		n.back = func(n *Node) {
 			if a.needs {
-				tensor.AddInPlace(a.Grad(), tensor.Hadamard(n.grad, b.Value))
+				g := t.like(n.grad)
+				tensor.HadamardInto(g, n.grad, b.Value)
+				tensor.AddInPlace(a.Grad(), g)
 			}
 			if b.needs {
-				tensor.AddInPlace(b.Grad(), tensor.Hadamard(n.grad, a.Value))
+				g := t.like(n.grad)
+				tensor.HadamardInto(g, n.grad, a.Value)
+				tensor.AddInPlace(b.Grad(), g)
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Scale returns c·a for a compile-time constant c.
 func (t *Tape) Scale(a *Node, c float64) *Node {
-	n := &Node{Value: tensor.Scale(a.Value, c), needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ScaleInto(val, a.Value, c)
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			tensor.AxpyInPlace(a.Grad(), c, n.grad)
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // AddConst returns a + c element-wise for a constant c.
 func (t *Tape) AddConst(a *Node, c float64) *Node {
-	n := &Node{Value: tensor.Apply(a.Value, func(v float64) float64 { return v + c }), needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ApplyInto(val, a.Value, func(v float64) float64 { return v + c })
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			tensor.AddInPlace(a.Grad(), n.grad)
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // MatMul returns a·b.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	n := &Node{Value: tensor.MatMul(a.Value, b.Value), needs: needsAny(a, b)}
+	val := t.Matrix(a.Value.Rows, b.Value.Cols)
+	tensor.MatMulAddInto(val, a.Value, b.Value) // val starts at zero
+	n := t.node(val, needsAny(a, b))
 	if n.needs {
 		n.back = func(n *Node) {
 			if a.needs {
-				tensor.AddInPlace(a.Grad(), tensor.MatMulBTransposed(n.grad, b.Value))
+				g := t.like(a.Value)
+				tensor.MatMulBTransposedInto(g, n.grad, b.Value)
+				tensor.AddInPlace(a.Grad(), g)
 			}
 			if b.needs {
-				tensor.AddInPlace(b.Grad(), tensor.MatMulATransposed(a.Value, n.grad))
+				g := t.like(b.Value)
+				tensor.MatMulATransposedInto(g, a.Value, n.grad)
+				tensor.AddInPlace(b.Grad(), g)
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // AddRowBroadcast returns x with the 1×cols bias node added to every row.
 func (t *Tape) AddRowBroadcast(x, bias *Node) *Node {
-	n := &Node{Value: tensor.AddRowBroadcast(x.Value, bias.Value), needs: needsAny(x, bias)}
+	val := t.like(x.Value)
+	tensor.AddRowBroadcastInto(val, x.Value, bias.Value)
+	n := t.node(val, needsAny(x, bias))
 	if n.needs {
 		n.back = func(n *Node) {
 			if x.needs {
 				tensor.AddInPlace(x.Grad(), n.grad)
 			}
 			if bias.needs {
-				tensor.AddInPlace(bias.Grad(), tensor.SumRows(n.grad))
+				g := t.like(bias.Value)
+				tensor.SumRowsInto(g, n.grad)
+				tensor.AddInPlace(bias.Grad(), g)
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Sigmoid returns the logistic function applied element-wise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	val := tensor.Sigmoid(a.Value)
-	n := &Node{Value: val, needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ApplyInto(val, a.Value, vecmath.Sigmoid)
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := a.Grad()
@@ -218,13 +291,14 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Tanh returns tanh applied element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
-	val := tensor.Tanh(a.Value)
-	n := &Node{Value: val, needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ApplyInto(val, a.Value, math.Tanh)
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := a.Grad()
@@ -233,13 +307,21 @@ func (t *Tape) Tanh(a *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
+}
+
+func relu(v float64) float64 {
+	if v > 0 {
+		return v
+	}
+	return 0
 }
 
 // ReLU returns max(0, x) element-wise.
 func (t *Tape) ReLU(a *Node) *Node {
-	val := tensor.ReLU(a.Value)
-	n := &Node{Value: val, needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ApplyInto(val, a.Value, relu)
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := a.Grad()
@@ -250,7 +332,7 @@ func (t *Tape) ReLU(a *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // SoftmaxRow returns softmax of a 1×n row vector.
@@ -258,8 +340,9 @@ func (t *Tape) SoftmaxRow(a *Node) *Node {
 	if a.Value.Rows != 1 {
 		panic("ag: SoftmaxRow expects a 1×n node")
 	}
-	val := tensor.SoftmaxRows(a.Value)
-	n := &Node{Value: val, needs: a.needs}
+	val := t.like(a.Value)
+	tensor.SoftmaxInto(val.Data, a.Value.Data)
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			// dL/dx_i = s_i (dL/ds_i − Σ_j dL/ds_j s_j)
@@ -270,12 +353,14 @@ func (t *Tape) SoftmaxRow(a *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // ConcatCols returns [a ‖ b].
 func (t *Tape) ConcatCols(a, b *Node) *Node {
-	n := &Node{Value: tensor.ConcatCols(a.Value, b.Value), needs: needsAny(a, b)}
+	val := t.Matrix(a.Value.Rows, a.Value.Cols+b.Value.Cols)
+	tensor.ConcatColsInto(val, a.Value, b.Value)
+	n := t.node(val, needsAny(a, b))
 	if n.needs {
 		ac := a.Value.Cols
 		n.back = func(n *Node) {
@@ -290,7 +375,7 @@ func (t *Tape) ConcatCols(a, b *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // RowScale scales row i of x (n×d) by element i of s (1×n):
@@ -299,7 +384,7 @@ func (t *Tape) RowScale(x, s *Node) *Node {
 	if s.Value.Rows != 1 || s.Value.Cols != x.Value.Rows {
 		panic(fmt.Sprintf("ag: RowScale s %dx%d for x %dx%d", s.Value.Rows, s.Value.Cols, x.Value.Rows, x.Value.Cols))
 	}
-	val := tensor.New(x.Value.Rows, x.Value.Cols)
+	val := t.like(x.Value)
 	for i := 0; i < x.Value.Rows; i++ {
 		si := s.Value.Data[i]
 		xrow := x.Value.Row(i)
@@ -308,7 +393,7 @@ func (t *Tape) RowScale(x, s *Node) *Node {
 			vrow[j] = si * v
 		}
 	}
-	n := &Node{Value: val, needs: needsAny(x, s)}
+	n := t.node(val, needsAny(x, s))
 	if n.needs {
 		n.back = func(n *Node) {
 			for i := 0; i < x.Value.Rows; i++ {
@@ -322,20 +407,20 @@ func (t *Tape) RowScale(x, s *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // Row returns row i of x as a 1×cols node.
 func (t *Tape) Row(x *Node, i int) *Node {
-	val := tensor.New(1, x.Value.Cols)
+	val := t.Matrix(1, x.Value.Cols)
 	copy(val.Data, x.Value.Row(i))
-	n := &Node{Value: val, needs: x.needs}
+	n := t.node(val, x.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			vecmath.Add(x.Grad().Row(i), n.grad.Data)
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // StackRows stacks 1×c nodes into an n×c node.
@@ -344,7 +429,7 @@ func (t *Tape) StackRows(rows []*Node) *Node {
 		panic("ag: StackRows of zero rows")
 	}
 	c := rows[0].Value.Cols
-	val := tensor.New(len(rows), c)
+	val := t.Matrix(len(rows), c)
 	needs := false
 	for i, r := range rows {
 		if r.Value.Rows != 1 || r.Value.Cols != c {
@@ -353,7 +438,7 @@ func (t *Tape) StackRows(rows []*Node) *Node {
 		copy(val.Row(i), r.Value.Data)
 		needs = needs || r.needs
 	}
-	n := &Node{Value: val, needs: needs}
+	n := t.node(val, needs)
 	if needs {
 		n.back = func(n *Node) {
 			for i, r := range rows {
@@ -363,13 +448,14 @@ func (t *Tape) StackRows(rows []*Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // SumAll returns the 1×1 sum of all elements of x.
 func (t *Tape) SumAll(x *Node) *Node {
-	val := tensor.FromSlice(1, 1, []float64{x.Value.Sum()})
-	n := &Node{Value: val, needs: x.needs}
+	val := t.Matrix(1, 1)
+	val.Data[0] = x.Value.Sum()
+	n := t.node(val, x.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := n.grad.Data[0]
@@ -379,13 +465,14 @@ func (t *Tape) SumAll(x *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // SumSquares returns the 1×1 sum of squared elements of x.
 func (t *Tape) SumSquares(x *Node) *Node {
-	s := vecmath.SquaredL2(x.Value.Data)
-	n := &Node{Value: tensor.FromSlice(1, 1, []float64{s}), needs: x.needs}
+	val := t.Matrix(1, 1)
+	val.Data[0] = vecmath.SquaredL2(x.Value.Data)
+	n := t.node(val, x.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := n.grad.Data[0]
@@ -395,12 +482,14 @@ func (t *Tape) SumSquares(x *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // MeanRows returns the 1×cols column means of x.
 func (t *Tape) MeanRows(x *Node) *Node {
-	n := &Node{Value: tensor.MeanRows(x.Value), needs: x.needs}
+	val := t.Matrix(1, x.Value.Cols)
+	tensor.MeanRowsInto(val, x.Value)
+	n := t.node(val, x.needs)
 	if n.needs {
 		inv := 1 / float64(x.Value.Rows)
 		n.back = func(n *Node) {
@@ -410,7 +499,7 @@ func (t *Tape) MeanRows(x *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // L2NormalizeRow returns x/‖x‖₂ for a 1×d node, with ε guarding zero input.
@@ -420,8 +509,9 @@ func (t *Tape) L2NormalizeRow(x *Node) *Node {
 	}
 	const eps = 1e-12
 	norm := vecmath.Norm(x.Value.Data) + eps
-	val := tensor.Scale(x.Value, 1/norm)
-	n := &Node{Value: val, needs: x.needs}
+	val := t.like(x.Value)
+	tensor.ScaleInto(val, x.Value, 1/norm)
+	n := t.node(val, x.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			// d(x/‖x‖)/dx = (I − y·yᵀ)/‖x‖ where y = x/‖x‖
@@ -432,7 +522,7 @@ func (t *Tape) L2NormalizeRow(x *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // SqDist returns the 1×1 squared Euclidean distance ‖a−b‖² of two
@@ -466,8 +556,9 @@ func IsFinite(n *Node) bool {
 
 // RSqrt returns 1/√x element-wise. Inputs must be positive.
 func (t *Tape) RSqrt(a *Node) *Node {
-	val := tensor.Apply(a.Value, func(v float64) float64 { return 1 / math.Sqrt(v) })
-	n := &Node{Value: val, needs: a.needs}
+	val := t.like(a.Value)
+	tensor.ApplyInto(val, a.Value, func(v float64) float64 { return 1 / math.Sqrt(v) })
+	n := t.node(val, a.needs)
 	if n.needs {
 		n.back = func(n *Node) {
 			g := a.Grad()
@@ -477,7 +568,7 @@ func (t *Tape) RSqrt(a *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // RowBroadcastMul returns x with every row multiplied element-wise by the
@@ -486,7 +577,7 @@ func (t *Tape) RowBroadcastMul(x, s *Node) *Node {
 	if s.Value.Rows != 1 || s.Value.Cols != x.Value.Cols {
 		panic(fmt.Sprintf("ag: RowBroadcastMul s %dx%d for x %dx%d", s.Value.Rows, s.Value.Cols, x.Value.Rows, x.Value.Cols))
 	}
-	val := tensor.New(x.Value.Rows, x.Value.Cols)
+	val := t.like(x.Value)
 	for i := 0; i < x.Value.Rows; i++ {
 		xrow := x.Value.Row(i)
 		vrow := val.Row(i)
@@ -494,7 +585,7 @@ func (t *Tape) RowBroadcastMul(x, s *Node) *Node {
 			vrow[j] = v * s.Value.Data[j]
 		}
 	}
-	n := &Node{Value: val, needs: needsAny(x, s)}
+	n := t.node(val, needsAny(x, s))
 	if n.needs {
 		n.back = func(n *Node) {
 			for i := 0; i < x.Value.Rows; i++ {
@@ -515,7 +606,7 @@ func (t *Tape) RowBroadcastMul(x, s *Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }
 
 // ConcatScalars concatenates 1×1 nodes into a single 1×n row (used to
@@ -524,7 +615,7 @@ func (t *Tape) ConcatScalars(scalars []*Node) *Node {
 	if len(scalars) == 0 {
 		panic("ag: ConcatScalars of zero nodes")
 	}
-	val := tensor.New(1, len(scalars))
+	val := t.Matrix(1, len(scalars))
 	needs := false
 	for i, s := range scalars {
 		if s.Value.Rows != 1 || s.Value.Cols != 1 {
@@ -533,7 +624,7 @@ func (t *Tape) ConcatScalars(scalars []*Node) *Node {
 		val.Data[i] = s.Value.Data[0]
 		needs = needs || s.needs
 	}
-	n := &Node{Value: val, needs: needs}
+	n := t.node(val, needs)
 	if needs {
 		n.back = func(n *Node) {
 			for i, s := range scalars {
@@ -543,5 +634,5 @@ func (t *Tape) ConcatScalars(scalars []*Node) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }

@@ -50,7 +50,7 @@ func (t *Tape) LSTMStep(w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
 	}
 
 	gate := func(W, U, B *Node) *tensor.Matrix {
-		pre := tensor.New(n, hidden)
+		pre := t.Matrix(n, hidden)
 		for r := 0; r < n; r++ {
 			copy(pre.Row(r), B.Value.Data)
 		}
@@ -68,18 +68,21 @@ func (t *Tape) LSTMStep(w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
 		ov.Data[idx] = vecmath.Sigmoid(ov.Data[idx])
 		gv.Data[idx] = math.Tanh(gv.Data[idx])
 	}
-	cVal := tensor.New(n, hidden)
-	tc := tensor.New(n, hidden)
-	hVal := tensor.New(n, hidden)
+	cVal := t.Matrix(n, hidden)
+	tc := t.Matrix(n, hidden)
+	hVal := t.Matrix(n, hidden)
 	for idx := range cVal.Data {
 		cVal.Data[idx] = fv.Data[idx]*c.Value.Data[idx] + iv.Data[idx]*gv.Data[idx]
 		tc.Data[idx] = math.Tanh(cVal.Data[idx])
 		hVal.Data[idx] = ov.Data[idx] * tc.Data[idx]
 	}
 
-	needs := needsAny(append(w.all(), x, h, c)...)
-	cNode := &Node{Value: cVal, needs: needs}
-	hNode := &Node{Value: hVal, needs: needs}
+	// cNew is recorded before hNew so that hNew's backward — which
+	// consumes cNew's accumulated gradient — runs first in the tape's
+	// reverse sweep.
+	needs := needsAny(x, h, c) || needsAny(w.all()...)
+	cNode := t.node(cVal, needs)
+	hNode := t.node(hVal, needs)
 	if needs {
 		hNode.back = func(hn *Node) {
 			dh := hn.grad
@@ -87,10 +90,10 @@ func (t *Tape) LSTMStep(w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
 			if cNode.grad != nil {
 				dcOut = cNode.grad
 			}
-			dpreI := tensor.New(n, hidden)
-			dpreF := tensor.New(n, hidden)
-			dpreO := tensor.New(n, hidden)
-			dpreG := tensor.New(n, hidden)
+			dpreI := t.Matrix(n, hidden)
+			dpreF := t.Matrix(n, hidden)
+			dpreO := t.Matrix(n, hidden)
+			dpreG := t.Matrix(n, hidden)
 			var cg *tensor.Matrix
 			if c.needs {
 				cg = c.Grad()
@@ -173,11 +176,6 @@ func (t *Tape) LSTMStep(w LSTMWeights, x, h, c *Node) (hNew, cNew *Node) {
 			backGate(dpreG, w.Wg, w.Ug, w.Bg)
 		}
 	}
-	// cNew is recorded before hNew so that hNew's backward — which
-	// consumes cNew's accumulated gradient — runs first in the tape's
-	// reverse sweep.
-	t.add(cNode)
-	t.add(hNode)
 	return hNode, cNode
 }
 
@@ -194,9 +192,9 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 		panic(fmt.Sprintf("ag: LayerNorm gain %dx%d bias %dx%d for x cols %d",
 			gain.Value.Rows, gain.Value.Cols, bias.Value.Rows, bias.Value.Cols, d))
 	}
-	inv := make([]float64, rows)
-	xhat := tensor.New(rows, d)
-	val := tensor.New(rows, d)
+	inv := t.floats.take(rows)
+	xhat := t.Matrix(rows, d)
+	val := t.Matrix(rows, d)
 	fd := float64(d)
 	for r := 0; r < rows; r++ {
 		xrow := x.Value.Row(r)
@@ -219,7 +217,7 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 			vrow[j] = hrow[j]*gain.Value.Data[j] + bias.Value.Data[j]
 		}
 	}
-	n := &Node{Value: val, needs: needsAny(x, gain, bias)}
+	n := t.node(val, needsAny(x, gain, bias))
 	if n.needs {
 		n.back = func(n *Node) {
 			for r := 0; r < rows; r++ {
@@ -254,5 +252,5 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) *Node {
 			}
 		}
 	}
-	return t.add(n)
+	return n
 }

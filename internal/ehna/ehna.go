@@ -433,9 +433,15 @@ func (m *Model) TrainEpoch() float64 {
 	if workers < 1 {
 		workers = 1
 	}
+	// Each worker records every edge on its own tape, reset before the
+	// edge, so the tape's memory is reused across the epoch and freed
+	// when it returns. The serial path runs between parallel batches,
+	// never beside them, so it borrows worker 0's tape.
 	var replicas []*Model
+	tapes := make([]*ag.Tape, workers)
 	for i := 0; i < workers; i++ {
 		replicas = append(replicas, m.shadow())
+		tapes[i] = ag.New()
 	}
 	var total float64
 	var count int
@@ -451,8 +457,9 @@ func (m *Model) TrainEpoch() float64 {
 		inv := 1 / float64(len(batch))
 
 		if workers == 1 || len(batch) < 2*workers {
+			tp := tapes[0]
 			for _, e := range batch {
-				tp := ag.New()
+				tp.Reset()
 				loss := m.EdgeLoss(tp, e, m.rng)
 				tp.Backward(tp.Scale(loss, inv))
 				total += ag.Value(loss)
@@ -474,10 +481,10 @@ func (m *Model) TrainEpoch() float64 {
 				wg.Add(1)
 				go func(w, wlo, whi int) {
 					defer wg.Done()
-					rep := replicas[w]
+					rep, tp := replicas[w], tapes[w]
 					rng := rand.New(rand.NewSource(m.cfg.Seed + int64(batchNo)*131 + int64(w)*7 + 3))
 					for _, e := range batch[wlo:whi] {
-						tp := ag.New()
+						tp.Reset()
 						loss := rep.EdgeLoss(tp, e, rng)
 						tp.Backward(tp.Scale(loss, inv))
 						losses[w] += ag.Value(loss)
@@ -522,9 +529,10 @@ func (m *Model) Train() []float64 {
 func (m *Model) InferAll() *tensor.Matrix {
 	out := tensor.New(m.g.NumNodes(), m.cfg.Dim)
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 7919))
+	tp := ag.New()
 	for v := 0; v < m.g.NumNodes(); v++ {
 		id := graph.NodeID(v)
-		tp := ag.New()
+		tp.Reset()
 		var z *ag.Node
 		if adj := m.g.Neighbors(id); len(adj) > 0 {
 			tRecent := adj[len(adj)-1].Time

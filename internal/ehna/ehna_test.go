@@ -3,9 +3,11 @@ package ehna
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ehna/internal/ag"
+	"ehna/internal/datagen"
 	"ehna/internal/graph"
 	"ehna/internal/tensor"
 	"ehna/internal/walk"
@@ -448,6 +450,56 @@ func BenchmarkEdgeLossBackward(b *testing.B) {
 		tp := ag.New()
 		loss := m.EdgeLoss(tp, edges[i%len(edges)], rng)
 		tp.Backward(loss)
+	}
+}
+
+// TestReusedTapeAllocationGuard records EdgeLoss plus Backward over the
+// same edges at the perfbench train configuration (the Digg analogue at
+// scale 0.05, the experiments.Quick EHNA settings) twice: with a new
+// tape per edge, and with one warmed tape reset before each edge. The
+// reused tape must allocate at most a tenth of the fresh tapes' bytes.
+func TestReusedTapeAllocationGuard(t *testing.T) {
+	g, err := datagen.Generate(datagen.Digg, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Dim = 16
+	cfg.Walk = walk.TemporalConfig{P: 1, Q: 1, NumWalks: 4, WalkLen: 5}
+	cfg.Bidirectional = true
+	cfg.Negatives = 3
+	m, err := NewModel(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.Edges()[:64]
+	inv := 1 / float64(cfg.BatchSize)
+	// bytes returns what the pass allocated. Every pass draws the same
+	// walks and negatives and starts from empty embedding gradients, so
+	// the passes differ only in where their tapes come from.
+	bytes := func(tape func() *ag.Tape) uint64 {
+		m.emb.ZeroGrad()
+		rng := rand.New(rand.NewSource(1))
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for _, e := range edges {
+			tp := tape()
+			loss := m.EdgeLoss(tp, e, rng)
+			tp.Backward(tp.Scale(loss, inv))
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	fresh := bytes(ag.New)
+	tp := ag.New()
+	reset := func() *ag.Tape { tp.Reset(); return tp }
+	bytes(reset) // warm: grow the arena to its working size
+	reused := bytes(reset)
+	t.Logf("%d edges: fresh tapes %d B/edge, reused tape %d B/edge (%.1f%%)",
+		len(edges), fresh/uint64(len(edges)), reused/uint64(len(edges)), 100*float64(reused)/float64(fresh))
+	if reused*10 > fresh {
+		t.Fatalf("reused tape allocated %d B, more than a tenth of the fresh tapes' %d B", reused, fresh)
 	}
 }
 

@@ -55,8 +55,9 @@ func (m *Model) EvalLoss(edges []graph.Edge) float64 {
 	}
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 104729))
 	var total float64
+	tp := ag.New()
 	for _, e := range edges {
-		tp := ag.New()
+		tp.Reset()
 		total += ag.Value(m.EdgeLoss(tp, e, rng))
 	}
 	// EdgeLoss builds leaves over the embedding table; no Backward was

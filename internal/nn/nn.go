@@ -151,7 +151,7 @@ type State struct {
 
 // InitState returns a zero state for batch size n on the tape.
 func (c *LSTMCell) InitState(tp *ag.Tape, n int) State {
-	return State{H: tp.Const(tensor.New(n, c.Hidden)), C: tp.Const(tensor.New(n, c.Hidden))}
+	return State{H: tp.Const(tp.Matrix(n, c.Hidden)), C: tp.Const(tp.Matrix(n, c.Hidden))}
 }
 
 // Weights records the cell's twelve gate parameters on the tape once,
@@ -289,7 +289,7 @@ func (e *Embedding) Len() int { return e.W.Rows }
 // Lookup binds rows idx of the table onto the tape as a len(idx)×d node.
 // Gradients are scattered into per-row accumulators.
 func (e *Embedding) Lookup(tp *ag.Tape, idx []int) *ag.Node {
-	v := tensor.New(len(idx), e.W.Cols)
+	v := tp.Matrix(len(idx), e.W.Cols)
 	for i, id := range idx {
 		copy(v.Row(i), e.W.Row(id))
 	}

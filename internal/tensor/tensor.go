@@ -119,13 +119,6 @@ func sameShape(a, b *Matrix) {
 	}
 }
 
-// MatMul returns a·b.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
 // MatMulInto computes out = a·b without allocating. out must not alias a or b.
 func MatMulInto(out, a, b *Matrix) {
 	out.Zero()
@@ -156,10 +149,21 @@ func MatMulAddInto(out, a, b *Matrix) {
 
 // MatMulATransposed returns aᵀ·b where a is given untransposed.
 func MatMulATransposed(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
+	MatMulATransposedInto(out, a, b)
+	return out
+}
+
+// MatMulATransposedInto computes out = aᵀ·b without allocating. out must
+// not alias a or b.
+func MatMulATransposedInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulAT rows %d != %d", a.Rows, b.Rows))
 	}
-	out := New(a.Cols, b.Cols)
+	if out.Rows != a.Cols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulAT out %dx%d want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
+	}
+	out.Zero()
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
@@ -170,15 +174,17 @@ func MatMulATransposed(a, b *Matrix) *Matrix {
 			vecmath.Axpy(out.Row(i), av, brow)
 		}
 	}
-	return out
 }
 
-// MatMulBTransposed returns a·bᵀ where b is given untransposed.
-func MatMulBTransposed(a, b *Matrix) *Matrix {
+// MatMulBTransposedInto computes out = a·bᵀ without allocating, for b
+// given untransposed. out must not alias a or b.
+func MatMulBTransposedInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulBT cols %d != %d", a.Cols, b.Cols))
 	}
-	out := New(a.Rows, b.Rows)
+	if out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulBT out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
+	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
@@ -186,7 +192,6 @@ func MatMulBTransposed(a, b *Matrix) *Matrix {
 			orow[j] = vecmath.Dot(arow, b.Row(j))
 		}
 	}
-	return out
 }
 
 // Transpose returns mᵀ.
@@ -200,43 +205,40 @@ func Transpose(m *Matrix) *Matrix {
 	return out
 }
 
-// Add returns a + b.
-func Add(a, b *Matrix) *Matrix {
+// AddInto computes out = a + b. out may alias a or b.
+func AddInto(out, a, b *Matrix) {
 	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
+	sameShape(out, a)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
-	return out
 }
 
-// Sub returns a − b.
-func Sub(a, b *Matrix) *Matrix {
+// SubInto computes out = a − b. out may alias a or b.
+func SubInto(out, a, b *Matrix) {
 	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
+	sameShape(out, a)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
-	return out
 }
 
-// Hadamard returns the element-wise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
+// HadamardInto computes the element-wise product out = a ⊙ b. out may
+// alias a or b.
+func HadamardInto(out, a, b *Matrix) {
 	sameShape(a, b)
-	out := New(a.Rows, a.Cols)
+	sameShape(out, a)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
-	return out
 }
 
-// Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
+// ScaleInto computes out = s·m. out may alias m.
+func ScaleInto(out, m *Matrix, s float64) {
+	sameShape(out, m)
 	for i, v := range m.Data {
 		out.Data[i] = v * s
 	}
-	return out
 }
 
 // AddInPlace computes a += b.
@@ -256,12 +258,13 @@ func ScaleInPlace(m *Matrix, s float64) {
 	vecmath.ScaleInPlace(m.Data, s)
 }
 
-// AddRowBroadcast returns m with the 1×cols row vector bias added to every row.
-func AddRowBroadcast(m, bias *Matrix) *Matrix {
+// AddRowBroadcastInto computes out = m with the 1×cols row vector bias
+// added to every row. out may alias m.
+func AddRowBroadcastInto(out, m, bias *Matrix) {
 	if bias.Rows != 1 || bias.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowBroadcast bias %dx%d for %dx%d", bias.Rows, bias.Cols, m.Rows, m.Cols))
 	}
-	out := New(m.Rows, m.Cols)
+	sameShape(out, m)
 	for i := 0; i < m.Rows; i++ {
 		mrow := m.Row(i)
 		orow := out.Row(i)
@@ -269,45 +272,18 @@ func AddRowBroadcast(m, bias *Matrix) *Matrix {
 			orow[j] = v + bias.Data[j]
 		}
 	}
-	return out
 }
 
-// Apply returns f applied element-wise to m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
+// ApplyInto computes out = f applied element-wise to m. out may alias m.
+func ApplyInto(out, m *Matrix, f func(float64) float64) {
+	sameShape(out, m)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
-	return out
-}
-
-// Sigmoid returns the logistic function applied element-wise.
-func Sigmoid(m *Matrix) *Matrix { return Apply(m, SigmoidScalar) }
-
-// Tanh returns tanh applied element-wise.
-func Tanh(m *Matrix) *Matrix { return Apply(m, math.Tanh) }
-
-// ReLU returns max(0, x) applied element-wise.
-func ReLU(m *Matrix) *Matrix {
-	return Apply(m, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
 }
 
 // SigmoidScalar is the numerically stable logistic function.
 func SigmoidScalar(x float64) float64 { return vecmath.Sigmoid(x) }
-
-// SoftmaxRows returns row-wise softmax of m.
-func SoftmaxRows(m *Matrix) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		SoftmaxInto(out.Row(i), m.Row(i))
-	}
-	return out
-}
 
 // SoftmaxInto writes softmax(src) into dst. dst may alias src.
 func SoftmaxInto(dst, src []float64) {
@@ -334,25 +310,33 @@ func SoftmaxInto(dst, src []float64) {
 	}
 }
 
-// SumRows returns a 1×cols matrix with the column sums of m.
-func SumRows(m *Matrix) *Matrix {
-	out := New(1, m.Cols)
+// SumRowsInto writes the column sums of m into the 1×cols matrix out.
+func SumRowsInto(out, m *Matrix) {
+	if out.Rows != 1 || out.Cols != m.Cols {
+		panic(fmt.Sprintf("tensor: SumRows out %dx%d for %dx%d", out.Rows, out.Cols, m.Rows, m.Cols))
+	}
+	out.Zero()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j, v := range row {
 			out.Data[j] += v
 		}
 	}
-	return out
 }
 
 // MeanRows returns a 1×cols matrix with the column means of m.
 func MeanRows(m *Matrix) *Matrix {
-	out := SumRows(m)
+	out := New(1, m.Cols)
+	MeanRowsInto(out, m)
+	return out
+}
+
+// MeanRowsInto writes the column means of m into the 1×cols matrix out.
+func MeanRowsInto(out, m *Matrix) {
+	SumRowsInto(out, m)
 	if m.Rows > 0 {
 		ScaleInPlace(out, 1/float64(m.Rows))
 	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -386,15 +370,23 @@ func (m *Matrix) Frobenius() float64 { return L2NormVec(m.Data) }
 
 // ConcatCols returns [a ‖ b] with the same number of rows.
 func ConcatCols(a, b *Matrix) *Matrix {
+	out := New(a.Rows, a.Cols+b.Cols)
+	ConcatColsInto(out, a, b)
+	return out
+}
+
+// ConcatColsInto writes [a ‖ b] into out, which must not alias a or b.
+func ConcatColsInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: ConcatCols rows %d != %d", a.Rows, b.Rows))
 	}
-	out := New(a.Rows, a.Cols+b.Cols)
+	if out.Rows != a.Rows || out.Cols != a.Cols+b.Cols {
+		panic(fmt.Sprintf("tensor: ConcatCols out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, a.Cols+b.Cols))
+	}
 	for i := 0; i < a.Rows; i++ {
 		copy(out.Row(i)[:a.Cols], a.Row(i))
 		copy(out.Row(i)[a.Cols:], b.Row(i))
 	}
-	return out
 }
 
 // StackRows returns the matrices stacked vertically. All must share Cols.

@@ -77,10 +77,24 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
+// matMul returns a·b in a new matrix.
+func matMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// into returns a rows×cols matrix after fn has written into it.
+func into(rows, cols int, fn func(out *Matrix)) *Matrix {
+	out := New(rows, cols)
+	fn(out)
+	return out
+}
+
 func TestMatMul(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
 	if !Equal(got, want, 1e-12) {
 		t.Fatalf("got %v want %v", got, want)
@@ -93,7 +107,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MatMul(New(2, 3), New(2, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(2, 2))
 }
 
 func TestMatMulTransposedVariants(t *testing.T) {
@@ -101,13 +115,13 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	a := Randn(4, 3, 1, rng)
 	b := Randn(4, 5, 1, rng)
 	got := MatMulATransposed(a, b)
-	want := MatMul(Transpose(a), b)
+	want := matMul(Transpose(a), b)
 	if !Equal(got, want, 1e-12) {
 		t.Fatal("MatMulATransposed mismatch")
 	}
 	c := Randn(6, 3, 1, rng)
-	got2 := MatMulBTransposed(a.Clone(), c)
-	want2 := MatMul(a, Transpose(c))
+	got2 := into(4, 6, func(out *Matrix) { MatMulBTransposedInto(out, a, c) })
+	want2 := matMul(a, Transpose(c))
 	if !Equal(got2, want2, 1e-12) {
 		t.Fatal("MatMulBTransposed mismatch")
 	}
@@ -124,17 +138,17 @@ func TestTransposeInvolution(t *testing.T) {
 func TestAddSubHadamardScale(t *testing.T) {
 	a := FromSlice(1, 3, []float64{1, 2, 3})
 	b := FromSlice(1, 3, []float64{4, 5, 6})
-	if !Equal(Add(a, b), FromSlice(1, 3, []float64{5, 7, 9}), 0) {
-		t.Fatal("Add")
+	if !Equal(into(1, 3, func(out *Matrix) { AddInto(out, a, b) }), FromSlice(1, 3, []float64{5, 7, 9}), 0) {
+		t.Fatal("AddInto")
 	}
-	if !Equal(Sub(b, a), FromSlice(1, 3, []float64{3, 3, 3}), 0) {
-		t.Fatal("Sub")
+	if !Equal(into(1, 3, func(out *Matrix) { SubInto(out, b, a) }), FromSlice(1, 3, []float64{3, 3, 3}), 0) {
+		t.Fatal("SubInto")
 	}
-	if !Equal(Hadamard(a, b), FromSlice(1, 3, []float64{4, 10, 18}), 0) {
-		t.Fatal("Hadamard")
+	if !Equal(into(1, 3, func(out *Matrix) { HadamardInto(out, a, b) }), FromSlice(1, 3, []float64{4, 10, 18}), 0) {
+		t.Fatal("HadamardInto")
 	}
-	if !Equal(Scale(a, 2), FromSlice(1, 3, []float64{2, 4, 6}), 0) {
-		t.Fatal("Scale")
+	if !Equal(into(1, 3, func(out *Matrix) { ScaleInto(out, a, 2) }), FromSlice(1, 3, []float64{2, 4, 6}), 0) {
+		t.Fatal("ScaleInto")
 	}
 }
 
@@ -158,7 +172,7 @@ func TestInPlaceOps(t *testing.T) {
 func TestAddRowBroadcast(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	bias := FromSlice(1, 2, []float64{10, 20})
-	got := AddRowBroadcast(m, bias)
+	got := into(2, 2, func(out *Matrix) { AddRowBroadcastInto(out, m, bias) })
 	want := FromSlice(2, 2, []float64{11, 22, 13, 24})
 	if !Equal(got, want, 0) {
 		t.Fatalf("got %v", got)
@@ -167,17 +181,13 @@ func TestAddRowBroadcast(t *testing.T) {
 
 func TestActivations(t *testing.T) {
 	m := FromSlice(1, 3, []float64{-1, 0, 1})
-	r := ReLU(m)
-	if r.At(0, 0) != 0 || r.At(0, 2) != 1 {
-		t.Fatal("ReLU")
-	}
-	s := Sigmoid(m)
+	s := into(1, 3, func(out *Matrix) { ApplyInto(out, m, SigmoidScalar) })
 	if math.Abs(s.At(0, 1)-0.5) > 1e-12 {
 		t.Fatal("Sigmoid(0) != 0.5")
 	}
-	th := Tanh(m)
-	if math.Abs(th.At(0, 1)) > 1e-12 {
-		t.Fatal("Tanh(0) != 0")
+	ApplyInto(m, m, math.Tanh)
+	if math.Abs(m.At(0, 1)) > 1e-12 || m.At(0, 2) != math.Tanh(1) {
+		t.Fatal("ApplyInto in place")
 	}
 }
 
@@ -198,7 +208,10 @@ func TestSigmoidScalarStable(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 1, 1, 1000, 1000, 1000})
-	s := SoftmaxRows(m)
+	s := New(2, 3)
+	for i := 0; i < 2; i++ {
+		SoftmaxInto(s.Row(i), m.Row(i))
+	}
 	for i := 0; i < 2; i++ {
 		var sum float64
 		for j := 0; j < 3; j++ {
@@ -243,8 +256,9 @@ func TestSoftmaxProperty(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if !Equal(SumRows(m), FromSlice(1, 3, []float64{5, 7, 9}), 0) {
-		t.Fatal("SumRows")
+	sums := FromSlice(1, 3, []float64{-1, -1, -1})
+	if SumRowsInto(sums, m); !Equal(sums, FromSlice(1, 3, []float64{5, 7, 9}), 0) {
+		t.Fatal("SumRowsInto must overwrite out")
 	}
 	if !Equal(MeanRows(m), FromSlice(1, 3, []float64{2.5, 3.5, 4.5}), 0) {
 		t.Fatal("MeanRows")
@@ -313,8 +327,8 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := Randn(3, 4, 1, rng)
 		b := Randn(4, 2, 1, rng)
 		c := Randn(2, 5, 1, rng)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
+		left := matMul(matMul(a, b), c)
+		right := matMul(a, matMul(b, c))
 		if !Equal(left, right, 1e-9) {
 			t.Fatal("matmul associativity violated")
 		}
